@@ -9,7 +9,6 @@
   return a JSON-serialisable :class:`~repro.bench.spec.SweepResult`;
 * :mod:`repro.bench.executor` — serial and process-parallel sweep
   execution with per-point error capture;
-* :mod:`repro.bench.sweep` — the historical dict-shaped sweep wrappers;
 * :mod:`repro.bench.report` — fixed-width tables matching the paper's
   figure axes;
 * :mod:`repro.bench.figures` — one entry point per paper figure
@@ -25,7 +24,7 @@ from repro.bench.executor import (
     get_executor,
     run_point,
 )
-from repro.bench.harness import allreduce_latency, allreduce_sweep
+from repro.bench.harness import allreduce_latency
 from repro.bench.report import format_table, sweep_table
 from repro.bench.spec import (
     PointResult,
@@ -39,7 +38,6 @@ from repro.bench.spec import (
 
 __all__ = [
     "allreduce_latency",
-    "allreduce_sweep",
     "format_table",
     "sweep_table",
     "SweepSpec",

@@ -28,9 +28,12 @@ Commands
 ``autotune --cluster c [--ppn 28]``
     Regenerate the DPML tuning table for one cluster preset.
 ``perf [scenario] [--gate] [--baseline BENCH_PERF.json] [--output out.json]``
-    Run the perf-regression suite: compat vs fast mode on figure-shaped
-    scenarios, plus hybrid-fidelity scale scenarios at 10k-100k ranks
-    (``scale10k``/``scale50k``/``scale100k``).  ``--canonical-output``
+    Run the perf-regression suite, or one scenario of it: exact
+    figure-shaped grids (``fig4``/``fig5``/``fig10``), hybrid-fidelity
+    scale scenarios at 10k-100k ranks (``scale10k``/``scale50k``/
+    ``scale100k``), the warm result store (``store_fig5``) and
+    multi-tenant traffic (``traffic_smoke``).  ``--gate`` checks each
+    scenario that ran against its own limits.  ``--canonical-output``
     writes the deterministic portion as byte-stable canonical JSON; see
     :mod:`repro.bench.perf`.
 """
@@ -304,8 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--gate", action="store_true",
-        help="for 'perf': fail unless the fig5-shaped scenario clears the "
-        "counter-improvement floors",
+        help="for 'perf': fail unless every scenario that ran stays within "
+        "its own limits (counter ceilings, wall ceilings, replay checks)",
     )
     parser.add_argument(
         "--baseline", default=None,

@@ -15,7 +15,7 @@ produces bit-identical timings to a fresh build.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.mpi.runtime import Runtime, SimSession
 from repro.payload.ops import SUM, ReduceOp
 from repro.payload.payload import DataPayload, SymbolicPayload
 
-__all__ = ["allreduce_latency", "allreduce_latency_stats", "allreduce_sweep", "LatencyStats"]
+__all__ = ["allreduce_latency", "allreduce_latency_stats", "LatencyStats"]
 
 #: The paper's microbenchmarks use MPI_FLOAT.
 FLOAT_BYTES = 4
@@ -222,39 +222,3 @@ def allreduce_latency_stats(
         max=float(arr.max()),
         samples=samples,
     )
-
-
-def allreduce_sweep(
-    config: MachineConfig,
-    algorithm: Optional[str],
-    sizes: Sequence[int],
-    *,
-    nranks: Optional[int] = None,
-    ppn: Optional[int] = None,
-    iterations: int = 3,
-    warmup: int = 1,
-    session: Optional[SimSession] = None,
-    **kwargs,
-) -> dict[int, float]:
-    """Latency (seconds) per message size in ``sizes``.
-
-    All sizes share one layout, so a single session serves the sweep.
-    """
-    if session is None and (nranks is not None or ppn is not None):
-        session = SimSession(
-            config, nranks if nranks is not None else config.nodes * ppn, ppn
-        )
-    return {
-        size: allreduce_latency(
-            config,
-            algorithm,
-            size,
-            nranks=nranks,
-            ppn=ppn,
-            iterations=iterations,
-            warmup=warmup,
-            session=session,
-            **kwargs,
-        )
-        for size in sizes
-    }

@@ -307,8 +307,8 @@ class SweepSpec:
     Expansion order is deterministic (size-major, then algorithm,
     leader count, repeat), so a spec always yields the same point list
     and two executors running it produce positionally comparable
-    results.  Leader counts exceeding ``ppn`` are skipped, matching the
-    historical ``leader_sweep`` behaviour.
+    results.  Leader counts exceeding ``ppn`` are skipped: a node cannot
+    host more leaders than it has ranks.
     """
 
     name: str

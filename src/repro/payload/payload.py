@@ -16,9 +16,10 @@ result), so :meth:`DataPayload.slice` hands out read-only numpy *views*
 instead of copies, and :func:`concat` of adjacent sibling views returns
 a view of the shared parent range without touching the data — the
 simulated analogue of the zero-copy shared-memory discipline the
-multi-leader design relies on.  ``REPRO_PAYLOAD_COMPAT=1`` (or
-:func:`set_payload_compat`) restores the historical copy-everywhere
-behaviour; results are bit-identical either way.
+multi-leader design relies on.  :func:`set_payload_compat` restores
+the historical copy-everywhere behaviour, kept only as the reference
+the golden-determinism tests compare against; results are
+bit-identical either way.
 
 The module keeps deterministic byte counters (:func:`payload_counters`)
 so the perf harness can report data-movement savings that do not depend
@@ -28,7 +29,6 @@ on the host machine.
 from __future__ import annotations
 
 import functools
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,20 +48,14 @@ __all__ = [
     "split_bounds",
 ]
 
-_COMPAT = os.environ.get("REPRO_PAYLOAD_COMPAT", "").lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
+_COMPAT = False
 
 
 def set_payload_compat(flag: bool) -> None:
     """Force (or lift) copy-everywhere compatibility mode.
 
-    Overrides the ``REPRO_PAYLOAD_COMPAT`` environment default for the
-    rest of the process; the perf harness flips this to measure honest
-    before/after byte counters in one interpreter.
+    Process-wide; tests flip it to compare the copy-on-write paths
+    against the copy-always reference.
     """
     global _COMPAT
     _COMPAT = bool(flag)

@@ -20,7 +20,8 @@ always runs the globally smallest ``(time, sequence)`` pair next: a
 heap entry pre-empts the now-queue head only when its timestamp has
 already been reached *and* its sequence number is smaller.  The
 resulting event order is bit-identical to an all-heap kernel
-(``REPRO_KERNEL_COMPAT=1`` forces that kernel for differential runs).
+(``Simulator(compat=True)`` keeps that kernel as the reference the
+golden-determinism tests compare against).
 
 Fast paths
 ----------
@@ -59,7 +60,6 @@ this when the sanitizer is off.
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Union
@@ -95,15 +95,6 @@ _NQ_RESUME = 2  # a: Process, b: value, c: ok -> a._resume_with(b, c)
 _POOLED_REFS = 3
 _POOL_CAP = 4096
 _getrefcount = getattr(sys, "getrefcount", None)
-
-
-def _env_compat() -> bool:
-    return os.environ.get("REPRO_KERNEL_COMPAT", "").lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 class Event:
@@ -459,17 +450,17 @@ class Simulator:
     >>> proc.value
     3.0
 
-    ``compat=True`` (or ``REPRO_KERNEL_COMPAT=1``) disables every fast
-    path — all scheduling goes through the heap and no event is pooled —
-    reproducing the original kernel's allocation behaviour exactly.
-    Results are bit-identical either way; compat exists so the perf
-    harness can measure honest before/after counters.
+    ``compat=True`` disables every fast path — all scheduling goes
+    through the heap and no event is pooled — reproducing the original
+    kernel's allocation behaviour exactly.  Results are bit-identical
+    either way; compat exists only as the reference the
+    golden-determinism tests compare the fast kernel against.
     """
 
     def __init__(
         self,
         sanitize: Union[bool, Any, None] = None,
-        compat: Optional[bool] = None,
+        compat: bool = False,
     ) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
@@ -481,7 +472,7 @@ class Simulator:
         # the Process event instead of propagating out of run().  The MPI
         # runtime enables this so one failing rank reports cleanly.
         self._catch_process_errors: bool = False
-        self._compat: bool = _env_compat() if compat is None else bool(compat)
+        self._compat: bool = bool(compat)
         # Free pools of processed, unreferenced one-shot events.
         self._pool_event: list[Event] = []
         self._pool_timeout: list[Timeout] = []

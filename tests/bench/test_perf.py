@@ -5,16 +5,20 @@ import copy
 import pytest
 
 from repro.bench.perf import (
-    GATE_SCENARIO,
-    MIN_BYTES_COPIED_RATIO,
-    MIN_EVENTS_RATIO,
     SCENARIOS,
-    TRAFFIC_MAX_WALL,
+    PerfPoint,
     baseline_mismatches,
     gate_failures,
     run_perf,
     strip_volatile,
 )
+
+#: The exact-fidelity scenarios: those whose points are PerfPoints.
+EXACT = [
+    name
+    for name, scenario in SCENARIOS.items()
+    if scenario.points and isinstance(scenario.points[0], PerfPoint)
+]
 
 
 @pytest.fixture(scope="module")
@@ -25,32 +29,34 @@ def fig10_report():
 
 class TestRunPerf:
     def test_scenarios_cover_the_papers_shapes(self):
-        assert set(SCENARIOS) == {"fig4", "fig5", "fig10"}
-        assert GATE_SCENARIO in SCENARIOS
+        assert set(EXACT) == {"fig4", "fig5", "fig10"}
 
-    def test_report_structure_and_ratios(self, fig10_report):
+    def test_report_structure_and_totals(self, fig10_report):
         scenario = fig10_report["scenarios"]["fig10"]
-        assert len(scenario["points"]) == len(SCENARIOS["fig10"])
+        assert len(scenario["points"]) == len(SCENARIOS["fig10"].points)
+        totals = dict.fromkeys(scenario["totals"], 0)
         for record in scenario["points"]:
-            assert record["compat"]["latency"] == record["fast"]["latency"]
-            assert record["compat"]["wall_seconds"] >= 0
-            assert set(record["fast"]["kernel"]) == {
+            assert record["latency"] > 0
+            assert record["wall_seconds"] >= 0
+            assert set(record["kernel"]) == {
                 "events_allocated",
                 "heap_pushes",
                 "heap_pops",
                 "nowq_entries",
                 "pool_reuses",
             }
-            assert set(record["fast"]["payload"]) == {
+            assert set(record["payload"]) == {
                 "bytes_copied",
                 "bytes_viewed",
                 "bytes_reduced",
             }
-            # compat never takes a fast path
-            assert record["compat"]["kernel"]["nowq_entries"] == 0
-            assert record["compat"]["payload"]["bytes_viewed"] == 0
-        assert scenario["ratios"]["events_allocated"] > 1.0
-        assert scenario["ratios"]["bytes_copied"] > 1.0
+            # the fast paths are taken
+            assert record["kernel"]["nowq_entries"] > 0
+            assert record["payload"]["bytes_viewed"] > 0
+            for block in (record["kernel"], record["payload"]):
+                for key, value in block.items():
+                    totals[key] += value
+        assert totals == scenario["totals"]
 
     def test_counters_are_deterministic_across_runs(self, fig10_report):
         again = run_perf(["fig10"])
@@ -60,32 +66,47 @@ class TestRunPerf:
         with pytest.raises(KeyError):
             run_perf(["fig99"])
 
+    def test_single_scenario_gates_alone(self):
+        """``perf fig4 --gate`` judges fig4 by itself."""
+        assert gate_failures(run_perf(["fig4"])) == []
+
 
 class TestGate:
-    def _synthetic(self, events_ratio, bytes_ratio):
+    """Each exact scenario's totals are gated on absolute ceilings."""
+
+    def _synthetic(self, name, events, copied):
         return {
             "scenarios": {
-                GATE_SCENARIO: {
-                    "ratios": {
-                        "events_allocated": events_ratio,
-                        "bytes_copied": bytes_ratio,
-                    }
+                name: {
+                    "points": [],
+                    "totals": {
+                        "events_allocated": events,
+                        "bytes_copied": copied,
+                    },
                 }
             }
         }
 
     def test_passing_report_has_no_failures(self):
-        report = self._synthetic(MIN_EVENTS_RATIO, MIN_BYTES_COPIED_RATIO)
-        assert gate_failures(report) == []
+        for name in EXACT:
+            limits = SCENARIOS[name].limits
+            report = self._synthetic(
+                name, limits["events_allocated"], limits["bytes_copied"]
+            )
+            assert gate_failures(report) == [], name
 
-    def test_low_ratios_fail(self):
-        report = self._synthetic(
-            MIN_EVENTS_RATIO - 0.1, MIN_BYTES_COPIED_RATIO - 0.1
-        )
-        failures = gate_failures(report)
-        assert len(failures) == 2
-        assert any("events_allocated" in f for f in failures)
-        assert any("bytes_copied" in f for f in failures)
+    def test_over_ceiling_fails(self):
+        for name in EXACT:
+            limits = SCENARIOS[name].limits
+            report = self._synthetic(
+                name,
+                limits["events_allocated"] + 1,
+                limits["bytes_copied"] + 1,
+            )
+            failures = gate_failures(report)
+            assert len(failures) == 2, name
+            assert any("events_allocated" in f for f in failures)
+            assert any("bytes_copied" in f for f in failures)
 
     def test_missing_scenario_fails(self):
         assert gate_failures({"scenarios": {}})
@@ -116,7 +137,7 @@ class TestTrafficGate:
         assert any("diverged" in f for f in failures)
 
     def test_wall_over_ceiling_fails(self):
-        ceiling = TRAFFIC_MAX_WALL["traffic_smoke"]
+        ceiling = SCENARIOS["traffic_smoke"].limits["wall_seconds"]
         failures = gate_failures(
             self._record(reused={"wall_seconds": ceiling + 1})
         )
@@ -140,19 +161,19 @@ class TestBaseline:
     def test_wall_clock_drift_is_ignored(self, fig10_report):
         noisy = copy.deepcopy(fig10_report)
         record = noisy["scenarios"]["fig10"]["points"][0]
-        record["compat"]["wall_seconds"] *= 100
+        record["wall_seconds"] *= 100
         assert baseline_mismatches(fig10_report, noisy) == []
 
     def test_counter_drift_is_reported(self, fig10_report):
         drifted = copy.deepcopy(fig10_report)
         record = drifted["scenarios"]["fig10"]["points"][0]
-        record["fast"]["kernel"]["events_allocated"] += 1
+        record["kernel"]["events_allocated"] += 1
         mismatches = baseline_mismatches(fig10_report, drifted)
         assert mismatches
         assert "events_allocated" in mismatches[0]
 
     def test_missing_key_is_reported(self, fig10_report):
         truncated = copy.deepcopy(fig10_report)
-        del truncated["scenarios"]["fig10"]["ratios"]
+        del truncated["scenarios"]["fig10"]["totals"]
         mismatches = baseline_mismatches(fig10_report, truncated)
         assert any("missing from baseline" in m for m in mismatches)

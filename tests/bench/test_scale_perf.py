@@ -14,9 +14,8 @@ import pytest
 
 from repro.bench.perf import (
     SCALE_MAX_EVENTS_PER_RANK,
-    SCALE_MAX_WALL,
     SCALE_MIN_MACRO_PER_POINT,
-    SCALE_SCENARIOS,
+    SCENARIOS,
     ScalePoint,
     _run_scale,
     canonical_json,
@@ -26,16 +25,24 @@ from repro.bench.perf import (
 )
 
 
+#: The hybrid scale tier: the registry's scenarios measuring ScalePoints.
+SCALE = {
+    name: scenario
+    for name, scenario in SCENARIOS.items()
+    if scenario.points and isinstance(scenario.points[0], ScalePoint)
+}
+
+
 class TestScaleScenarios:
     def test_tier_covers_10k_to_100k_ranks(self):
         ranks = {
-            name: sum(p.nranks for p in points)
-            for name, points in SCALE_SCENARIOS.items()
+            name: sum(p.nranks for p in scenario.points)
+            for name, scenario in SCALE.items()
         }
-        assert ranks["scale10k"] == 10_000
-        assert ranks["scale50k"] == 50_000
-        assert ranks["scale100k"] == 100_000
-        assert set(SCALE_MAX_WALL) == set(SCALE_SCENARIOS)
+        assert ranks == {
+            "scale10k": 10_000, "scale50k": 50_000, "scale100k": 100_000
+        }
+        assert all("wall_seconds" in s.limits for s in SCALE.values())
 
     def test_small_scale_point_runs_hybrid(self):
         record = _run_scale(
@@ -56,9 +63,7 @@ class TestScaleScenarios:
         first = run_perf(["scale10k"])
         second = run_perf(["scale10k"])
         assert strip_volatile(first) == strip_volatile(second)
-        scenario = first["scenarios"]["scale10k"]
-        assert scenario["mode"] == "hybrid-scale"
-        (record,) = scenario["points"]
+        (record,) = first["scenarios"]["scale10k"]["points"]
         assert record["nranks"] == 10_000
         assert record["kernel"]["macro_events"] >= SCALE_MIN_MACRO_PER_POINT
         assert gate_failures(first) == []
@@ -99,18 +104,16 @@ class TestScaleGate:
         return base
 
     def _report(self, record):
-        return {
-            "scenarios": {
-                "scale10k": {"mode": "hybrid-scale", "points": [record]}
-            }
-        }
+        return {"scenarios": {"scale10k": {"points": [record]}}}
 
     def test_healthy_record_passes(self):
         assert gate_failures(self._report(self._record())) == []
 
     def test_wall_over_ceiling_fails(self):
         report = self._report(
-            self._record(wall_seconds=SCALE_MAX_WALL["scale10k"] + 1.0)
+            self._record(
+                wall_seconds=SCENARIOS["scale10k"].limits["wall_seconds"] + 1.0
+            )
         )
         failures = gate_failures(report)
         assert any("over" in f and "ceiling" in f for f in failures)

@@ -141,6 +141,23 @@ class TestResults:
         assert set(data[1024]) == {1, 2}
         assert data[1024][1] == 1.0
 
+    def test_by_size_algorithm_shape(self):
+        """A real serial run over two algorithms covers every size and
+        algorithm (the Figures 8-10 shape)."""
+        from repro.bench.executor import SerialExecutor
+
+        spec = small_spec(
+            sizes=(64, 1024),
+            algorithms=("ring", "recursive_doubling"),
+            leader_counts=(None,),
+            iterations=1,
+        )
+        data = SerialExecutor().run(spec).by_size_algorithm()
+        assert set(data) == {64, 1024}
+        for row in data.values():
+            assert set(row) == {"ring", "recursive_doubling"}
+            assert all(latency > 0 for latency in row.values())
+
     def test_repeats_average(self):
         spec = small_spec(sizes=(1024,), leader_counts=(1,), repeats=2)
         result = self._result(spec)

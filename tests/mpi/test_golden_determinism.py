@@ -12,7 +12,10 @@ precisely so this equivalence stays testable forever.
 The grid is the shared conftest layout grid (the same shapes as
 ``python -m repro.check``), and the sanitized variants re-run the
 comparison with the invariant sanitizer attached, since sanitizer
-bookkeeping rides the same hot paths.
+bookkeeping rides the same hot paths.  The exact points of the perf
+harness (``python -m repro.bench perf``) are replayed against the
+same reference, read from its scenario registry so the two cannot
+drift apart.
 
 The hybrid-fidelity tests extend the same contract one layer up:
 macro-charging a collective through the cost model may change its
@@ -24,13 +27,17 @@ injected faults hybrid must fall back to the exact path cleanly
 included).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from tests.conftest import ALL_LAYOUTS, layout_id
+from repro.bench.harness import FLOAT_BYTES
+from repro.bench.perf import SCENARIOS, PerfPoint
 from repro.check.conformance import GOLDEN_EXEMPT
 from repro.faults.plan import ArrivalSkew, FaultPlan, Straggler
-from repro.machine.clusters import cluster_a, cluster_b
+from repro.machine.clusters import cluster_a, cluster_b, get_cluster
 from repro.mpi import run_job
 from repro.mpi.collectives.registry import available_algorithms
 from repro.payload import SUM, make_payload, set_payload_compat
@@ -49,6 +56,14 @@ GOLDEN_ALGORITHMS = [
 #: regression in one of them fails a test naming it.
 LITERATURE_FAMILIES = ("dualroot_pipelined", "optimal_rsag", "generalized")
 
+#: The perf harness's exact-fidelity points (fig4/fig5/fig10 shapes).
+PERF_POINTS = [
+    point
+    for scenario in SCENARIOS.values()
+    for point in scenario.points
+    if isinstance(point, PerfPoint)
+]
+
 
 @pytest.fixture(autouse=True)
 def _restore_payload_mode():
@@ -56,10 +71,14 @@ def _restore_payload_mode():
     set_payload_compat(False)
 
 
-def _allreduce_fn(inputs, algorithm, **kw):
+def _allreduce_fn(inputs, algorithm, calls=1, **kw):
     def fn(comm):
-        data = make_payload(len(inputs[comm.rank]), data=inputs[comm.rank])
-        result = yield from comm.allreduce(data, SUM, algorithm=algorithm, **kw)
+        mine = inputs[comm.rank]
+        data = make_payload(len(mine), data=mine, dtype=mine.dtype)
+        for _ in range(calls):
+            result = yield from comm.allreduce(
+                data, SUM, algorithm=algorithm, **kw
+            )
         return result.array
 
     return fn
@@ -67,20 +86,21 @@ def _allreduce_fn(inputs, algorithm, **kw):
 
 def _run(
     layout, algorithm, *, compat, sanitize=False, fidelity=None, faults=None,
-    cluster=cluster_b, **kw
+    cluster=cluster_b, count=COUNT, dtype=np.float64, calls=1, **kw
 ):
-    """One job with kernel *and* payload layer in the given mode."""
+    """``calls`` allreduces of ``count`` elements in one job, with the
+    kernel *and* payload layer in the given mode."""
     nranks, ppn, nodes = layout
     rng = np.random.default_rng(7)
     inputs = [
-        rng.integers(1, 10, COUNT).astype(np.float64) for _ in range(nranks)
+        rng.integers(1, 10, count).astype(dtype) for _ in range(nranks)
     ]
     set_payload_compat(compat)
     try:
         job = run_job(
             cluster(nodes),
             nranks,
-            _allreduce_fn(inputs, algorithm, **kw),
+            _allreduce_fn(inputs, algorithm, calls, **kw),
             ppn=ppn,
             sim=Simulator(compat=compat),
             sanitize=sanitize,
@@ -124,6 +144,29 @@ def test_fast_mode_matches_seed_across_algorithms(algorithm):
     golden = _run(layout, algorithm, compat=True)
     fast = _run(layout, algorithm, compat=False)
     _assert_identical(golden, fast)
+
+
+@pytest.mark.parametrize("point", PERF_POINTS, ids=lambda p: p.label())
+def test_fast_mode_matches_seed_on_perf_points(point):
+    """Each exact perf point, with real float32 data of the point's
+    size and the harness's warmup + timed call count: fast mode is
+    bit-identical to the compat reference."""
+    run = functools.partial(
+        _run,
+        (point.nodes * point.ppn, point.ppn, point.nodes),
+        point.algorithm,
+        cluster=functools.partial(get_cluster, point.cluster),
+        count=point.nbytes // FLOAT_BYTES,
+        dtype=np.float32,
+        calls=point.warmup + point.iterations,
+        **({} if point.leaders is None else {"leaders": point.leaders}),
+    )
+    _assert_identical(run(compat=True), run(compat=False))
+
+
+def test_perf_points_cover_the_exact_scenarios():
+    assert len(PERF_POINTS) == 14
+    assert {p.algorithm for p in PERF_POINTS} == {"dpml", "dpml_tuned"}
 
 
 @pytest.mark.parametrize("kernel_compat", [True, False])

@@ -480,12 +480,6 @@ class TestFastKernelEquivalence:
         assert counters["heap_pushes"] < counters["events_allocated"] + 1
         assert counters["pool_reuses"] > 0
 
-    def test_compat_env_variable_selects_compat(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_COMPAT", "1")
-        sim = Simulator()
-        _mixed_scenario(sim)
-        assert sim.counters()["nowq_entries"] == 0
-
 
 class TestEventPool:
     def test_unreferenced_event_is_recycled_and_reused(self):
