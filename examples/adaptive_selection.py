@@ -12,7 +12,7 @@ Run:  python examples/adaptive_selection.py
 """
 
 from repro.bench.report import format_size, format_us
-from repro.core.adaptive import DEFAULT_CANDIDATES
+from repro.core.selection import DEFAULT_CANDIDATES
 from repro.machine.clusters import cluster_b
 from repro.machine.machine import Machine
 from repro.mpi.runtime import Runtime
@@ -42,14 +42,13 @@ def watch_convergence(nbytes: int) -> None:
     print(f"message size {format_size(nbytes)}:")
     for i, t in enumerate(timings):
         phase = (
-            f"explore {DEFAULT_CANDIDATES[i][0]}"
-            f"(l={DEFAULT_CANDIDATES[i][1].get('leaders', '-')})"
+            f"explore {DEFAULT_CANDIDATES[i].algorithm}"
+            f"(l={DEFAULT_CANDIDATES[i].kwargs.get('leaders', '-')})"
             if i < len(DEFAULT_CANDIDATES)
             else "locked"
         )
         print(f"  call {i}: {format_us(t):>9} us  [{phase}]")
-    name, kw = winner
-    print(f"  -> locked on {name} {kw}\n")
+    print(f"  -> locked on {winner.algorithm} {winner.kwargs}\n")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ import sys
 import time
 
 from repro.bench.figures import FIGURES
-from repro.core.autotune import autotune_cluster
+from repro.core.selection import autotune_cluster
 from repro.errors import ReproError
 from repro.machine.clusters import get_cluster
 
@@ -413,9 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"autotuning {config.name} at {args.nodes} nodes x {ppn} ppn ...")
         table = autotune_cluster(config, ppn=ppn, verbose=True)
         print("\ntuning table:")
-        for max_bytes, spec in table:
-            bound = "inf" if max_bytes == float("inf") else f"{int(max_bytes)}B"
-            print(f"  <= {bound:>9}: {spec.algorithm} (leaders={spec.leaders})")
+        for row in table:
+            bound = "inf" if row.max_bytes == float("inf") else f"{int(row.max_bytes)}B"
+            print(f"  <= {bound:>9}: {row.algorithm} {row.kwargs}")
         return 0
     if command == "validate":
         from repro.mpi.validate import validate_all

@@ -7,13 +7,13 @@
 * :mod:`repro.core.sharp_designs` — the SHArP node-level-leader and
   socket-level-leader designs (Section 4.3);
 * :mod:`repro.core.model` — the analytical cost model (Section 5);
-* :mod:`repro.core.tuning` — per-cluster leader-count tables and the
-  hybrid DPML-tuned selector used in the Figure 9/10 comparisons;
-* :mod:`repro.core.autotune` — empirical sweep that regenerates those
-  tables.
+* :mod:`repro.core.selection` — every per-size, per-scale choice as
+  one kind of table: the per-cluster tables of the hybrid DPML-tuned
+  selector used in the Figure 9/10 comparisons, the library emulations,
+  the adaptive explorer's candidates, and the empirical sweep that
+  regenerates the tuning tables.
 """
 
-from repro.core.adaptive import allreduce_adaptive
 from repro.core.dpml import allreduce_dpml, allreduce_hierarchical
 from repro.core.dpml_bcast import bcast_dpml
 from repro.core.dpml_reduce import reduce_dpml
@@ -24,7 +24,7 @@ from repro.core.sharp_designs import (
     allreduce_sharp_node_leader,
     allreduce_sharp_socket_leader,
 )
-from repro.core.tuning import allreduce_dpml_tuned
+from repro.core.selection import allreduce_adaptive, allreduce_dpml_tuned
 
 __all__ = [
     "CostModel",

@@ -11,7 +11,13 @@ oracle (:func:`repro.check.oracle.spot_check_hybrid`) can re-run a
 sampled configuration exactly and compare phase-by-phase.
 
 Only algorithms the cost model describes get a plan: ``dpml``,
-``dpml_pipelined``, ``hierarchical``, ``recursive_doubling``.
+``dpml_pipelined``, ``hierarchical``, ``recursive_doubling``, and the
+literature families — Träff's doubly-pipelined dual-root tree, the
+optimal non-pipelined reduce-scatter/allgather construction and
+Kolmakov & Zhang's generalized allreduce.  Those three are flat, so
+each plan is a single ``exchange`` phase; the keywords that shape the
+exchange (``segment_bytes``, ``radices``) flow through to the pricing,
+so a macro charge prices the structure the exact path would run.
 Everything else (ring, SHArP offload, library selectors, ...) has no
 plan and falls back to exact execution even when ``fidelity="hybrid"``.
 """
@@ -32,7 +38,7 @@ __all__ = [
     "PhasePlan",
     "PhaseProbe",
     "DPML_PHASES",
-    "default_phase_plans",
+    "phase_plans",
 ]
 
 #: The four DPML phases of paper Figure 2, in execution order.
@@ -164,7 +170,23 @@ def _charge_dpml_pipelined(
     )
 
 
-def default_phase_plans() -> dict:
+def _charge_dualroot_pipelined(
+    model: CostModel, *, p, h, n, segment_bytes=None, **_kw
+):
+    return (
+        ("exchange", model.t_dualroot_pipelined(p, n, segment_bytes=segment_bytes)),
+    )
+
+
+def _charge_optimal_rsag(model: CostModel, *, p, h, n, **_kw):
+    return (("exchange", model.t_optimal_rsag(p, n)),)
+
+
+def _charge_generalized(model: CostModel, *, p, h, n, radices=None, **_kw):
+    return (("exchange", model.t_generalized(p, n, radices)),)
+
+
+def phase_plans() -> dict:
     """Name → :class:`PhasePlan` for every cost-modelled algorithm."""
     return {
         "recursive_doubling": PhasePlan(
@@ -176,5 +198,14 @@ def default_phase_plans() -> dict:
         "dpml": PhasePlan("dpml", DPML_PHASES, _charge_dpml),
         "dpml_pipelined": PhasePlan(
             "dpml_pipelined", DPML_PHASES, _charge_dpml_pipelined
+        ),
+        "dualroot_pipelined": PhasePlan(
+            "dualroot_pipelined", ("exchange",), _charge_dualroot_pipelined
+        ),
+        "optimal_rsag": PhasePlan(
+            "optimal_rsag", ("exchange",), _charge_optimal_rsag
+        ),
+        "generalized": PhasePlan(
+            "generalized", ("exchange",), _charge_generalized
         ),
     }

@@ -30,6 +30,7 @@ __all__ = [
     "cluster_c",
     "cluster_d",
     "get_cluster",
+    "preset_name",
     "scaled_cluster",
     "CLUSTERS",
 ]
@@ -211,6 +212,10 @@ def get_cluster(name: str, nodes: int | None = None) -> MachineConfig:
     return factory() if nodes is None else factory(nodes)
 
 
+#: Separator between a preset's name and a scaled build's node count.
+_SCALED = "-x"
+
+
 def scaled_cluster(name: str, nodes: int) -> MachineConfig:
     """A cluster preset scaled past its physical node count.
 
@@ -232,4 +237,18 @@ def scaled_cluster(name: str, nodes: int) -> MachineConfig:
         return base
     from dataclasses import replace
 
-    return replace(base.with_nodes(nodes), name=f"{base.name}-x{nodes}")
+    return replace(base.with_nodes(nodes), name=f"{base.name}{_SCALED}{nodes}")
+
+
+def preset_name(config_name: str) -> str | None:
+    """The preset a config was built from, or None for a custom config.
+
+    ``"cluster-b"`` and its scaled build ``"cluster-b-x16"`` both give
+    ``"cluster-b"``: a scaled build is the same node and fabric, so
+    per-preset data such as the tuning tables applies to it unchanged.
+    """
+    base, sep, nodes = config_name.rpartition(_SCALED)
+    if sep and nodes.isdigit():
+        config_name = base
+    known = {f"cluster-{key}" for key in CLUSTERS}
+    return config_name if config_name in known else None

@@ -1,4 +1,4 @@
-"""Baseline collective algorithms and library-style tuned selectors.
+"""Baseline collective algorithms.
 
 Every allreduce algorithm has the signature::
 
@@ -17,9 +17,11 @@ Baselines implemented (the paper's Section 2.1 / Section 3 survey):
 * ``ring`` — 2(p-1)-step ring, the large-message workhorse;
 * ``reduce_bcast`` — binomial-tree reduce followed by binomial bcast;
 * ``hierarchical`` — the MVAPICH2-style single-leader shared-memory
-  scheme (DPML with ``l = 1``);
-* ``mvapich2`` / ``intel_mpi`` — message-size-based selectors emulating
-  the tuned production libraries the paper compares against.
+  scheme (DPML with ``l = 1``).
+
+The ``mvapich2`` / ``intel_mpi`` entries emulating the tuned production
+libraries the paper compares against are selection tables in
+:mod:`repro.core.selection`.
 """
 
 from repro.mpi.collectives.registry import (

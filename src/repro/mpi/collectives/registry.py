@@ -84,7 +84,6 @@ def _populate() -> None:
 
 
 def _register_builtin() -> None:
-    from repro.core.adaptive import allreduce_adaptive
     from repro.core.dpml import allreduce_dpml, allreduce_hierarchical
     from repro.core.multilevel import allreduce_dpml_multilevel
     from repro.core.dpml_bcast import bcast_dpml
@@ -94,7 +93,15 @@ def _register_builtin() -> None:
         allreduce_sharp_node_leader,
         allreduce_sharp_socket_leader,
     )
-    from repro.core.tuning import allreduce_dpml_tuned
+    from repro.core.selection import (
+        allreduce_adaptive,
+        allreduce_dpml_tuned,
+        allreduce_flat_auto,
+        allreduce_intel_mpi,
+        allreduce_mvapich2,
+        bcast_auto,
+        reduce_auto,
+    )
     from repro.mpi.collectives.allgather import (
         allgather_bruck,
         allgather_recursive_doubling,
@@ -120,13 +127,6 @@ def _register_builtin() -> None:
         allreduce_ring,
         allreduce_ring_segmented,
         bcast_scatter_ring,
-    )
-    from repro.mpi.collectives.selector import (
-        allreduce_flat_auto,
-        allreduce_intel_mpi,
-        allreduce_mvapich2,
-        bcast_auto,
-        reduce_auto,
     )
 
     for name, fn in {
@@ -190,12 +190,9 @@ def _register_builtin() -> None:
     register_collective("alltoall", "pairwise", alltoall_pairwise)
     register_collective("alltoall", "bruck", alltoall_bruck)
 
-    from repro.core.phases import default_phase_plans
-    from repro.mpi.collectives.phases import literature_phase_plans
+    from repro.core.phases import phase_plans
 
-    for name, plan in default_phase_plans().items():
-        register_phase_plan(name, plan)
-    for name, plan in literature_phase_plans().items():
+    for name, plan in phase_plans().items():
         register_phase_plan(name, plan)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import DEFAULT_CANDIDATES, AdaptiveState
+from repro.core.selection import DEFAULT_CANDIDATES, AdaptiveState, Row
 from repro.machine.clusters import cluster_b
 from repro.machine.machine import Machine
 from repro.mpi.runtime import Runtime, run_job
@@ -12,7 +12,7 @@ from repro.payload import SUM, SymbolicPayload, make_payload
 
 class TestAdaptiveState:
     def test_explores_then_locks(self):
-        state = AdaptiveState(candidates=(("a", {}), ("b", {}), ("c", {})))
+        state = AdaptiveState(candidates=(Row("a"), Row("b"), Row("c")))
         assert state.exploring
         assert state.next_candidate() == 0
         state.record(3.0)
@@ -24,7 +24,7 @@ class TestAdaptiveState:
         assert state.next_candidate() == 1
 
     def test_single_candidate_locks_immediately(self):
-        state = AdaptiveState(candidates=(("only", {}),))
+        state = AdaptiveState(candidates=(Row("only"),))
         state.record(5.0)
         assert state.locked == 0
 
@@ -68,7 +68,7 @@ class TestAdaptiveAllreduce:
             return state.candidates[state.locked]
 
         job = run_job(cluster_b(8), 8 * 16, fn, ppn=16)
-        name, kwargs = job.values[0]
+        name, kwargs = job.values[0].algorithm, job.values[0].kwargs
         assert (name, kwargs.get("leaders", 0)) in (
             ("dpml", 16), ("dpml", 4), ("rabenseifner", 0),
         )
@@ -95,8 +95,8 @@ class TestAdaptiveAllreduce:
         # The locked configuration is one of the candidates; its direct
         # latency must match within a tight tolerance.
         candidates_t = []
-        for name, kw in DEFAULT_CANDIDATES:
-            def fn(comm, name=name, kw=kw):
+        for row in DEFAULT_CANDIDATES:
+            def fn(comm, name=row.algorithm, kw=row.kwargs):
                 payload = SymbolicPayload(1 << 15, 4)
                 yield from comm.barrier()
                 t0 = comm.now
@@ -151,7 +151,7 @@ class TestAdaptiveUnderFaults:
 
     def test_roster_includes_literature_families(self):
         """The explorer actually tries the competing designs."""
-        names = {name for name, _ in DEFAULT_CANDIDATES}
+        names = {row.algorithm for row in DEFAULT_CANDIDATES}
         assert {"dualroot_pipelined", "optimal_rsag", "generalized"} <= names
 
     @pytest.mark.parametrize(
@@ -164,9 +164,9 @@ class TestAdaptiveUnderFaults:
         from repro.faults import ArrivalSkew, FaultPlan
 
         families = (
-            ("dualroot_pipelined", {}),
-            ("optimal_rsag", {}),
-            ("generalized", {}),
+            Row("dualroot_pipelined"),
+            Row("optimal_rsag"),
+            Row("generalized"),
         )
 
         def fn(comm):

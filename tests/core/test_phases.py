@@ -16,7 +16,7 @@ from repro.core.phases import (
     PhasePlan,
     PhaseProbe,
     _clamp_leaders,
-    default_phase_plans,
+    phase_plans,
 )
 from repro.core.pipelined import DEFAULT_PIPELINE_UNIT, pipeline_depth
 from repro.errors import TuningError
@@ -30,9 +30,10 @@ def model():
 
 
 def test_default_plans_cover_the_modelled_algorithms():
-    plans = default_phase_plans()
+    plans = phase_plans()
     assert set(plans) == {
-        "recursive_doubling", "hierarchical", "dpml", "dpml_pipelined"
+        "recursive_doubling", "hierarchical", "dpml", "dpml_pipelined",
+        "dualroot_pipelined", "optimal_rsag", "generalized",
     }
     for name, plan in plans.items():
         assert plan.algorithm == name

@@ -10,6 +10,8 @@ from repro.machine.clusters import (
     cluster_c,
     cluster_d,
     get_cluster,
+    preset_name,
+    scaled_cluster,
 )
 from repro.machine.config import FabricConfig, MachineConfig, NodeConfig, SharpConfig
 
@@ -124,3 +126,12 @@ class TestClusterPresets:
         assert get_cluster("Cluster-B", 8).nodes == 8
         with pytest.raises(ConfigError):
             get_cluster("z")
+
+    def test_preset_name_reads_back_scaled_builds(self):
+        for key in CLUSTERS:
+            preset = get_cluster(key)
+            assert preset_name(preset.name) == preset.name
+            assert preset_name(scaled_cluster(key, 5000).name) == preset.name
+        assert preset_name("custom-machine") is None
+        assert preset_name("cluster-z-x16") is None
+        assert preset_name("cluster-b-xl") is None

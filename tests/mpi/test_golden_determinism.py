@@ -342,6 +342,26 @@ class TestHybridPlanFallbackCounter:
         assert job.counters["macro_events"] == 1
         assert job.counters["hybrid_plan_fallbacks"] == {}
 
+    @pytest.mark.parametrize(
+        "selector, macro_events",
+        [
+            ("mvapich2", 1),
+            ("intel_mpi", 1),
+            ("flat_auto", 1),
+            ("dpml_tuned", 1),
+            ("adaptive", 2),  # the candidate plus its cost agreement
+        ],
+    )
+    def test_selectors_dispatch_through_the_choke_point(
+        self, selector, macro_events
+    ):
+        """A table-driven entry has no plan of its own (one counted
+        fallback per rank); the row it picks is resolved through the
+        registry, so a planned choice is macro-charged."""
+        job = _run((16, 4, 4), selector, compat=False, fidelity="hybrid")
+        assert job.counters["macro_events"] == macro_events
+        assert job.counters["hybrid_plan_fallbacks"] == {selector: 16}
+
     def test_exact_mode_keeps_historical_counter_shape(self):
         job = _run((16, 4, 4), "ring", compat=False, fidelity="exact")
         assert "hybrid_plan_fallbacks" not in job.counters

@@ -1,11 +1,14 @@
-"""Tests for the library-style selectors' dispatch decisions."""
+"""Tests for the library-style selectors: results and orderings.
+
+Their exact decisions at every threshold are pinned by
+``test_selection_decisions``."""
 
 import numpy as np
 import pytest
 
+from repro.core.selection import is_multinode
 from repro.machine.clusters import cluster_b, cluster_c, cluster_d
 from repro.mpi import run_job
-from repro.mpi.collectives.selector import is_multinode
 from repro.payload import SUM, SymbolicPayload, make_payload
 
 
